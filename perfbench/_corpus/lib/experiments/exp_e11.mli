@@ -1,0 +1,12 @@
+(** E11 — scrip systems: efficiency, crashes, hoarders, altruists.
+
+    One registered experiment of {!Experiments.all}; everything beyond the
+    registry triple (internal helpers, protocol scaffolding) is private. *)
+
+val name : string
+val title : string
+
+val run : ?jobs:int -> unit -> unit
+(** Regenerate the table(s) through {!Bn_util.Out}; [jobs] bounds the
+    domain budget of any internal parallel loops. Output is byte-identical
+    for every [jobs]. *)

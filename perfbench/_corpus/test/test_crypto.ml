@@ -1,0 +1,217 @@
+module C = Beyond_nash
+module F = C.Field
+module P = C.Poly
+module S = C.Shamir
+module H = C.Hashing
+
+let field_elt = QCheck.int_range 0 (F.p - 1)
+
+(* {1 Field axioms} *)
+
+let field_add_inverse =
+  QCheck.Test.make ~count:200 ~name:"field: x + (-x) = 0" field_elt (fun x ->
+      F.add x (F.neg x) = 0)
+
+let field_mul_inverse =
+  QCheck.Test.make ~count:200 ~name:"field: x * x^-1 = 1 (x != 0)" field_elt (fun x ->
+      x = 0 || F.mul x (F.inv x) = 1)
+
+let field_distributive =
+  QCheck.Test.make ~count:200 ~name:"field: distributivity"
+    QCheck.(triple field_elt field_elt field_elt)
+    (fun (a, b, c) -> F.mul a (F.add b c) = F.add (F.mul a b) (F.mul a c))
+
+let field_pow_matches_mul =
+  QCheck.Test.make ~count:100 ~name:"field: pow 3 = x*x*x" field_elt (fun x ->
+      F.pow x 3 = F.mul x (F.mul x x))
+
+let test_field_of_int_negative () =
+  Alcotest.(check int) "canonical negative" (F.p - 5) (F.of_int (-5))
+
+let test_field_inv_zero () =
+  Alcotest.check_raises "inv 0" Division_by_zero (fun () -> ignore (F.inv 0))
+
+let test_field_fermat () =
+  Alcotest.(check int) "a^(p-1) = 1" 1 (F.pow 123456789 (F.p - 1))
+
+(* {1 Polynomials} *)
+
+let test_poly_eval_horner () =
+  (* 3 + 2x + x^2 at x = 5 -> 3 + 10 + 25 = 38 *)
+  Alcotest.(check int) "eval" 38 (P.eval [| 3; 2; 1 |] 5)
+
+let test_poly_degree () =
+  Alcotest.(check int) "zero poly" (-1) (P.degree [| 0; 0 |]);
+  Alcotest.(check int) "trailing zeros" 1 (P.degree [| 1; 2; 0; 0 |])
+
+let poly_add_eval =
+  QCheck.Test.make ~count:100 ~name:"poly: eval(a+b) = eval a + eval b"
+    QCheck.(triple (array_of_size (Gen.return 4) field_elt) (array_of_size (Gen.return 3) field_elt) field_elt)
+    (fun (a, b, x) -> P.eval (P.add a b) x = F.add (P.eval a x) (P.eval b x))
+
+let poly_mul_eval =
+  QCheck.Test.make ~count:100 ~name:"poly: eval(a*b) = eval a * eval b"
+    QCheck.(triple (array_of_size (Gen.return 3) field_elt) (array_of_size (Gen.return 3) field_elt) field_elt)
+    (fun (a, b, x) -> P.eval (P.mul a b) x = F.mul (P.eval a x) (P.eval b x))
+
+let poly_divmod_roundtrip =
+  QCheck.Test.make ~count:100 ~name:"poly: a = q*b + r with deg r < deg b"
+    QCheck.(pair (array_of_size (Gen.return 5) field_elt) (array_of_size (Gen.return 3) field_elt))
+    (fun (a, b) ->
+      if P.degree b < 0 then true
+      else begin
+        let q, r = P.divmod a b in
+        P.degree r < P.degree b && P.equal a (P.add (P.mul q b) r)
+      end)
+
+let test_poly_interpolate_exact () =
+  let f = [| 7; 0; 2 |] in
+  (* 7 + 2x^2 *)
+  let points = List.map (fun x -> (x, P.eval f x)) [ 1; 2; 3 ] in
+  Alcotest.(check bool) "recovers" true (P.equal f (P.interpolate points))
+
+let test_poly_interpolate_duplicate () =
+  Alcotest.check_raises "duplicate x" (Invalid_argument "Poly.interpolate: duplicate x-coordinates")
+    (fun () -> ignore (P.interpolate [ (1, 2); (1, 3) ]))
+
+let poly_random_has_secret =
+  QCheck.Test.make ~count:50 ~name:"poly: random polynomial has the secret at 0"
+    QCheck.(pair (int_range 0 1000) (int_range 1 6))
+    (fun (secret, degree) ->
+      let rng = C.Prng.create (secret + (degree * 1000)) in
+      let f = P.random rng ~degree ~secret in
+      P.eval f 0 = F.of_int secret && P.degree f = degree)
+
+(* {1 Shamir} *)
+
+let shamir_roundtrip =
+  QCheck.Test.make ~count:50 ~name:"shamir: any threshold+1 shares reconstruct"
+    QCheck.(triple (int_range 0 100000) (int_range 1 4) (int_range 0 100))
+    (fun (secret, threshold, seed) ->
+      let n = threshold + 3 in
+      let rng = C.Prng.create seed in
+      let shares = S.share rng ~secret ~threshold ~n in
+      (* take the first threshold+1 shares *)
+      let subset = List.filteri (fun i _ -> i <= threshold) shares in
+      S.reconstruct subset = F.of_int secret)
+
+let test_shamir_invalid_threshold () =
+  let rng = C.Prng.create 1 in
+  Alcotest.check_raises "threshold >= n" (Invalid_argument "Shamir.share: need 0 <= threshold < n")
+    (fun () -> ignore (S.share rng ~secret:1 ~threshold:5 ~n:5))
+
+let test_shamir_consistency_check () =
+  let rng = C.Prng.create 2 in
+  let shares = S.share rng ~secret:42 ~threshold:2 ~n:6 in
+  Alcotest.(check bool) "clean shares consistent" true (S.verify_consistent ~degree:2 shares);
+  let corrupted =
+    List.mapi (fun i s -> if i = 0 then { s with S.y = F.add s.S.y 1 } else s) shares
+  in
+  Alcotest.(check bool) "corruption detected" false (S.verify_consistent ~degree:2 corrupted)
+
+let berlekamp_welch_property =
+  QCheck.Test.make ~count:50 ~name:"shamir: Berlekamp-Welch corrects up to e errors"
+    QCheck.(triple (int_range 0 100000) (int_range 1 2) (int_range 0 1000))
+    (fun (secret, e, seed) ->
+      let degree = 2 in
+      let n = degree + (2 * e) + 1 in
+      let rng = C.Prng.create seed in
+      let shares = S.share rng ~secret ~threshold:degree ~n in
+      let corrupted =
+        List.mapi (fun i s -> if i < e then { s with S.y = F.add s.S.y (1 + (seed mod 97)) } else s) shares
+      in
+      S.robust_reconstruct ~degree ~max_errors:e corrupted = Some (F.of_int secret))
+
+let test_bw_too_many_errors () =
+  let rng = C.Prng.create 3 in
+  let shares = S.share rng ~secret:99 ~threshold:2 ~n:7 in
+  (* 3 errors but bound allows 2: decoding must not return a wrong value
+     silently — either None or (unlikely here) the right value. *)
+  let corrupted =
+    List.mapi (fun i s -> if i < 3 then { s with S.y = F.add s.S.y 17 } else s) shares
+  in
+  match S.robust_reconstruct ~degree:2 ~max_errors:2 corrupted with
+  | None -> ()
+  | Some v -> Alcotest.(check int) "if it decodes, it must be right or detected" 99 v
+
+let test_bw_insufficient_shares () =
+  let rng = C.Prng.create 4 in
+  let shares = S.share rng ~secret:1 ~threshold:2 ~n:4 in
+  Alcotest.(check bool) "n < d + 2e + 1 refused" true
+    (S.robust_reconstruct ~degree:2 ~max_errors:1 shares = None)
+
+(* {1 Hashing, commitments, PKI} *)
+
+let test_hash_deterministic () =
+  Alcotest.(check int64) "equal inputs" (H.hash "abc") (H.hash "abc");
+  Alcotest.(check bool) "different inputs" true (H.hash "abc" <> H.hash "abd")
+
+let test_hash_ints_framing () =
+  Alcotest.(check bool) "framing distinguishes [1;23] from [12;3]" true
+    (H.hash_ints [ 1; 23 ] <> H.hash_ints [ 12; 3 ])
+
+let test_commit_verify () =
+  let c = H.Commit.commit ~value:42 ~nonce:777 in
+  Alcotest.(check bool) "verifies" true (H.Commit.verify c ~value:42 ~nonce:777);
+  Alcotest.(check bool) "wrong value" false (H.Commit.verify c ~value:43 ~nonce:777);
+  Alcotest.(check bool) "wrong nonce" false (H.Commit.verify c ~value:42 ~nonce:778)
+
+let test_pki () =
+  let rng = C.Prng.create 5 in
+  let pki = H.Pki.create rng ~n:3 in
+  let s = H.Pki.sign pki ~signer:0 ~msg:"m" in
+  Alcotest.(check bool) "verify own" true (H.Pki.verify pki ~signer:0 ~msg:"m" s);
+  Alcotest.(check bool) "not other signer" false (H.Pki.verify pki ~signer:1 ~msg:"m" s);
+  Alcotest.(check bool) "not other msg" false (H.Pki.verify pki ~signer:0 ~msg:"m2" s);
+  Alcotest.(check bool) "forgery fails" false
+    (H.Pki.verify pki ~signer:0 ~msg:"m" (H.Pki.forge_attempt rng))
+
+(* {1 Field matrices} *)
+
+let test_fieldmat_solve () =
+  (* 2x + y = 5; x + y = 3 -> x = 2, y = 1 *)
+  match C.Fieldmat.solve [| [| 2; 1 |]; [| 1; 1 |] |] [| 5; 3 |] with
+  | Some x ->
+    Alcotest.(check int) "x" 2 x.(0);
+    Alcotest.(check int) "y" 1 x.(1)
+  | None -> Alcotest.fail "solvable"
+
+let test_fieldmat_inconsistent () =
+  Alcotest.(check bool) "inconsistent" true
+    (C.Fieldmat.solve [| [| 1; 1 |]; [| 1; 1 |] |] [| 1; 2 |] = None)
+
+let test_fieldmat_rank () =
+  Alcotest.(check int) "full rank" 2 (C.Fieldmat.rank [| [| 1; 0 |]; [| 0; 1 |] |]);
+  Alcotest.(check int) "rank 1" 1 (C.Fieldmat.rank [| [| 1; 2 |]; [| 2; 4 |] |])
+
+let suite =
+  [
+    QCheck_alcotest.to_alcotest field_add_inverse;
+    QCheck_alcotest.to_alcotest field_mul_inverse;
+    QCheck_alcotest.to_alcotest field_distributive;
+    QCheck_alcotest.to_alcotest field_pow_matches_mul;
+    Alcotest.test_case "field: of_int negative" `Quick test_field_of_int_negative;
+    Alcotest.test_case "field: inv zero" `Quick test_field_inv_zero;
+    Alcotest.test_case "field: Fermat" `Quick test_field_fermat;
+    Alcotest.test_case "poly: eval" `Quick test_poly_eval_horner;
+    Alcotest.test_case "poly: degree" `Quick test_poly_degree;
+    QCheck_alcotest.to_alcotest poly_add_eval;
+    QCheck_alcotest.to_alcotest poly_mul_eval;
+    QCheck_alcotest.to_alcotest poly_divmod_roundtrip;
+    Alcotest.test_case "poly: interpolate" `Quick test_poly_interpolate_exact;
+    Alcotest.test_case "poly: duplicate x" `Quick test_poly_interpolate_duplicate;
+    QCheck_alcotest.to_alcotest poly_random_has_secret;
+    QCheck_alcotest.to_alcotest shamir_roundtrip;
+    Alcotest.test_case "shamir: invalid threshold" `Quick test_shamir_invalid_threshold;
+    Alcotest.test_case "shamir: consistency" `Quick test_shamir_consistency_check;
+    QCheck_alcotest.to_alcotest berlekamp_welch_property;
+    Alcotest.test_case "BW: too many errors" `Quick test_bw_too_many_errors;
+    Alcotest.test_case "BW: insufficient shares" `Quick test_bw_insufficient_shares;
+    Alcotest.test_case "hash: deterministic" `Quick test_hash_deterministic;
+    Alcotest.test_case "hash: framing" `Quick test_hash_ints_framing;
+    Alcotest.test_case "commitments" `Quick test_commit_verify;
+    Alcotest.test_case "pki" `Quick test_pki;
+    Alcotest.test_case "fieldmat: solve" `Quick test_fieldmat_solve;
+    Alcotest.test_case "fieldmat: inconsistent" `Quick test_fieldmat_inconsistent;
+    Alcotest.test_case "fieldmat: rank" `Quick test_fieldmat_rank;
+  ]

@@ -1,0 +1,183 @@
+module B = Beyond_nash
+module MG = B.Machine_game
+module P = B.Primality
+
+let check_float = Alcotest.(check (float 1e-9))
+
+(* {1 Machine} *)
+
+let test_deterministic_machine () =
+  let m = B.Machine.deterministic "inc" (fun x -> x + 1) in
+  Alcotest.(check bool) "point mass" true (B.Dist.support (m.B.Machine.act 4) = [ 5 ]);
+  check_float "default complexity" 1.0 (m.B.Machine.complexity 0);
+  Alcotest.(check bool) "not randomized" false m.B.Machine.randomized
+
+let test_randomizing_machine () =
+  let m = B.Machine.randomizing "coin" (fun _ -> B.Dist.uniform [ 0; 1 ]) in
+  check_float "default complexity 2" 2.0 (m.B.Machine.complexity 0);
+  Alcotest.(check bool) "randomized" true m.B.Machine.randomized
+
+(* {1 Machine_game} *)
+
+let simple_mg charge =
+  (* Both players pick "low" (action 0, complexity 1) or "high" (action 1,
+     complexity 3); base payoff = own action value. *)
+  let low = B.Machine.constant "low" ~complexity:(fun _ -> 1.0) 0 in
+  let high = B.Machine.constant "high" ~complexity:(fun _ -> 3.0) 1 in
+  MG.simple
+    ~machines:[| [| low; high |]; [| low; high |] |]
+    ~base:(fun acts -> [| float_of_int acts.(0); float_of_int acts.(1) |])
+    ~charge:[| charge; charge |]
+
+let test_expected_utility () =
+  let g = simple_mg 0.0 in
+  check_float "high action free computation" 1.0 (MG.expected_utility g ~choice:[| 1; 0 |] ~player:0);
+  let g' = simple_mg 1.0 in
+  (* high: 1 - 3 = -2; low: 0 - 1 = -1. *)
+  check_float "charged" (-2.0) (MG.expected_utility g' ~choice:[| 1; 0 |] ~player:0)
+
+let test_nash_flips_with_charge () =
+  let free = simple_mg 0.0 in
+  Alcotest.(check bool) "high-high Nash when free" true (MG.is_nash free ~choice:[| 1; 1 |]);
+  let charged = simple_mg 1.0 in
+  Alcotest.(check bool) "low-low Nash when charged" true (MG.is_nash charged ~choice:[| 0; 0 |]);
+  Alcotest.(check bool) "high-high not Nash when charged" false
+    (MG.is_nash charged ~choice:[| 1; 1 |])
+
+let test_best_deviation () =
+  let charged = simple_mg 1.0 in
+  match MG.best_deviation charged ~choice:[| 1; 1 |] ~player:0 with
+  | Some (0, u) -> check_float "deviate to low" (-1.0) u
+  | Some _ | None -> Alcotest.fail "expected deviation to machine 0"
+
+let test_nash_equilibria_enumeration () =
+  let free = simple_mg 0.0 in
+  Alcotest.(check int) "unique equilibrium when free" 1 (List.length (MG.nash_equilibria free))
+
+let test_to_normal_form_consistency () =
+  let g = simple_mg 1.0 in
+  let nf = MG.to_normal_form g in
+  B.Normal_form.iter_profiles nf (fun p ->
+      check_float "payoffs agree"
+        (MG.expected_utility g ~choice:p ~player:0)
+        (B.Normal_form.payoff nf p 0))
+
+(* {1 Primality} *)
+
+let trial_division n =
+  if n < 2 then false
+  else begin
+    let rec go d = d * d > n || (n mod d <> 0 && go (d + 1)) in
+    go 2
+  end
+
+let miller_rabin_matches_trial_division =
+  QCheck.Test.make ~count:300 ~name:"primality: Miller-Rabin = trial division"
+    QCheck.(int_range 2 200000)
+    (fun n -> P.is_prime n = trial_division n)
+
+let test_known_primes () =
+  List.iter
+    (fun p -> Alcotest.(check bool) (string_of_int p) true (P.is_prime p))
+    [ 2; 3; 5; 104729; 2147483647 ];
+  List.iter
+    (fun c -> Alcotest.(check bool) (string_of_int c) false (P.is_prime c))
+    [ 1; 4; 100; 104730; 2147483645 ]
+
+let test_carmichael_numbers () =
+  (* Carmichael numbers fool Fermat but not Miller-Rabin. *)
+  List.iter
+    (fun c -> Alcotest.(check bool) (string_of_int c) false (P.is_prime c))
+    [ 561; 1105; 1729; 2465; 41041; 825265 ]
+
+let test_counted_cost_grows () =
+  (* Primes cost more to certify than typical composites, and bigger
+     numbers cost more. *)
+  let _, c_small = P.counted_is_prime 104729 in
+  let _, c_big = P.counted_is_prime 2147483647 in
+  Alcotest.(check bool) "bigger prime costs more" true (c_big > c_small);
+  Alcotest.(check bool) "positive cost" true (c_small > 0)
+
+let test_primality_game_crossover () =
+  let rng = B.Prng.create 77 in
+  let small = P.default_spec ~bits:8 ~cost_per_op:0.05 in
+  let us_small = P.utilities (B.Prng.split rng 8) small in
+  Alcotest.(check bool) "solve wins at 8 bits" true
+    (List.assoc "solve" us_small > List.assoc "safe" us_small);
+  let large = P.default_spec ~bits:40 ~cost_per_op:0.05 in
+  let us_large = P.utilities (B.Prng.split rng 40) large in
+  Alcotest.(check bool) "safe wins at 40 bits" true
+    (List.assoc "safe" us_large > List.assoc "solve" us_large)
+
+let test_primality_equilibrium_choice () =
+  let rng = B.Prng.create 78 in
+  Alcotest.(check int) "equilibrium at 8 bits is solve (index 0)" 0
+    (P.equilibrium_choice (B.Prng.split rng 8) (P.default_spec ~bits:8 ~cost_per_op:0.05));
+  Alcotest.(check int) "equilibrium at 40 bits is safe (index 1)" 1
+    (P.equilibrium_choice (B.Prng.split rng 40) (P.default_spec ~bits:40 ~cost_per_op:0.05))
+
+let test_crossover_bits_found () =
+  let rng = B.Prng.create 79 in
+  match P.crossover_bits rng ~cost_per_op:0.05 with
+  | Some b -> Alcotest.(check bool) "crossover in a sane range" true (b > 8 && b < 45)
+  | None -> Alcotest.fail "crossover should exist at this cost"
+
+let test_guessing_is_fair_bet () =
+  let rng = B.Prng.create 80 in
+  let us = P.utilities rng (P.default_spec ~bits:16 ~cost_per_op:0.05) in
+  (* Balanced sampling: blind guessing nets ~0 (minus the tiny base cost). *)
+  Alcotest.(check bool) "guess-prime ~ 0" true (Float.abs (List.assoc "guess-prime" us) < 0.5)
+
+(* {1 Computational roshambo} *)
+
+let test_comp_roshambo_no_equilibrium () =
+  let g = B.Comp_roshambo.game () in
+  Alcotest.(check bool) "no equilibrium" false (B.Comp_roshambo.has_equilibrium g)
+
+let test_comp_roshambo_certificate_complete () =
+  let g = B.Comp_roshambo.game () in
+  match B.Comp_roshambo.certificate g with
+  | None -> Alcotest.fail "nonexistence certificate should exist"
+  | Some cert ->
+    (* 4 machines each -> 16 profiles, every one refuted. *)
+    Alcotest.(check int) "all profiles covered" 16 (List.length cert);
+    List.iter
+      (fun (choice, player, machine) ->
+        let alt = Array.copy choice in
+        alt.(player) <- machine;
+        let before = MG.expected_utility g ~choice ~player in
+        let after = MG.expected_utility g ~choice:alt ~player in
+        Alcotest.(check bool) "deviation strictly profitable" true (after > before +. 1e-9))
+      cert
+
+let test_comp_roshambo_extra_randomizers () =
+  let g = B.Comp_roshambo.game ~extra_randomizers:true () in
+  Alcotest.(check bool) "still no equilibrium" false (B.Comp_roshambo.has_equilibrium g)
+
+let test_classical_roshambo_has_equilibrium () =
+  let eqs = B.Comp_roshambo.classical_equilibria () in
+  Alcotest.(check int) "classical: unique uniform NE" 1 (List.length eqs)
+
+let suite =
+  [
+    Alcotest.test_case "machine: deterministic" `Quick test_deterministic_machine;
+    Alcotest.test_case "machine: randomizing" `Quick test_randomizing_machine;
+    Alcotest.test_case "machine game: expected utility" `Quick test_expected_utility;
+    Alcotest.test_case "machine game: charge flips Nash" `Quick test_nash_flips_with_charge;
+    Alcotest.test_case "machine game: best deviation" `Quick test_best_deviation;
+    Alcotest.test_case "machine game: equilibria" `Quick test_nash_equilibria_enumeration;
+    Alcotest.test_case "machine game: to normal form" `Quick test_to_normal_form_consistency;
+    QCheck_alcotest.to_alcotest miller_rabin_matches_trial_division;
+    Alcotest.test_case "primality: known values" `Quick test_known_primes;
+    Alcotest.test_case "primality: Carmichael" `Quick test_carmichael_numbers;
+    Alcotest.test_case "primality: cost grows" `Quick test_counted_cost_grows;
+    Alcotest.test_case "primality: crossover" `Slow test_primality_game_crossover;
+    Alcotest.test_case "primality: equilibrium choice" `Slow test_primality_equilibrium_choice;
+    Alcotest.test_case "primality: crossover bits" `Slow test_crossover_bits_found;
+    Alcotest.test_case "primality: fair bet" `Quick test_guessing_is_fair_bet;
+    Alcotest.test_case "roshambo: no computational NE" `Quick test_comp_roshambo_no_equilibrium;
+    Alcotest.test_case "roshambo: certificate" `Quick test_comp_roshambo_certificate_complete;
+    Alcotest.test_case "roshambo: extra randomizers" `Quick test_comp_roshambo_extra_randomizers;
+    Alcotest.test_case "roshambo: classical NE exists" `Quick
+      test_classical_roshambo_has_equilibrium;
+  ]

@@ -1,16 +1,33 @@
-(* Modular multiplication that is overflow-safe for moduli up to 2^62, by
-   Russian-peasant doubling when operands are large. Each call counts as one
-   modular multiplication for complexity accounting (the doubling is how a
+(* Modular multiplication of residues a, b in [0, m), for every modulus
+   up to max_int = 2^62 - 1, in three regimes chosen so that no
+   intermediate exceeds max_int: the plain product below 2^31; below 2^48,
+   Horner over the four 14-bit digits of [b] (acc * 2^14 and a * digit both
+   stay below 2^62); above that, Russian-peasant doubling with an
+   overflow-free add-mod. Each call counts as one modular multiplication
+   for complexity accounting (the digit and doubling steps are how a
    fixed-width ALU would implement it; charging per high-level mulmod keeps
    the cost model machine-independent). *)
+let addmod x y m =
+  let s = x - (m - y) in
+  if s < 0 then s + m else s
+
+(* acc * 2^14 + a * d (mod m), for one 14-bit digit d of the multiplier. *)
+let digit_step a m acc d = ((acc lsl 14) mod m + (a * d mod m)) mod m
+
 let mulmod a b m =
   if m < 1 lsl 31 then a * b mod m
+  else if m < 1 lsl 48 then begin
+    let acc = a * (b lsr 42) mod m in
+    let acc = digit_step a m acc ((b lsr 28) land 0x3fff) in
+    let acc = digit_step a m acc ((b lsr 14) land 0x3fff) in
+    digit_step a m acc (b land 0x3fff)
+  end
   else begin
     let rec go a b acc =
       if b = 0 then acc
       else begin
-        let acc = if b land 1 = 1 then (acc + a) mod m else acc in
-        go ((a + a) mod m) (b lsr 1) acc
+        let acc = if b land 1 = 1 then addmod acc a m else acc in
+        go (addmod a a m) (b lsr 1) acc
       end
     in
     go (a mod m) b 0
@@ -87,7 +104,12 @@ let machine_names = [| "solve"; "safe"; "guess-prime"; "guess-composite" |]
 
    The type space is balanced: half primes, half composites, so that
    declaring blindly is a fair bet (expected 0) and the tension is exactly
-   the paper's "compute for $10 or take the safe $1". *)
+   the paper's "compute for $10 or take the safe $1".
+
+   Each sampled input comes with the Miller–Rabin operation count of the
+   one [counted_is_prime] call that accepted it, so the game never tests an
+   input twice. The draw order is part of every E6 table: one [random_odd]
+   per scan start, one more when a scan gives up. *)
 let sample_inputs rng spec =
   if spec.bits < 5 || spec.bits > 62 then invalid_arg "Primality: bits in [5, 62]";
   let base = 1 lsl (spec.bits - 1) in
@@ -96,24 +118,29 @@ let sample_inputs rng spec =
     if x mod 2 = 0 then x + 1 else x
   in
   let rec sample_with want_prime =
-    let rec scan x tries =
-      if tries > 4 * spec.bits * spec.bits then random_odd ()
-      else if is_prime x = want_prime then x
-      else scan (x + 2) (tries + 1)
+    let test x =
+      let p, ops = counted_is_prime x in
+      if p = want_prime then Some (x, ops) else None
     in
-    let x = scan (random_odd ()) 0 in
-    if is_prime x = want_prime then x else sample_with want_prime
+    let rec scan x tries =
+      if tries > 4 * spec.bits * spec.bits then
+        match test (random_odd ()) with Some s -> s | None -> sample_with want_prime
+      else match test x with Some s -> s | None -> scan (x + 2) (tries + 1)
+    in
+    scan (random_odd ()) 0
   in
   Array.init spec.samples (fun i -> sample_with (i mod 2 = 0))
 
 let game rng spec =
+  Bn_obs.Obs.span "primality.game" @@ fun () ->
   let inputs = sample_inputs rng spec in
-  let truth = Array.map is_prime inputs in
-  let costs = Array.map (fun x -> float_of_int (snd (counted_is_prime x))) inputs in
+  (* [sample_inputs] puts the primes at the even indices. *)
+  let truth idx = idx mod 2 = 0 in
+  let costs = Array.map (fun (_, ops) -> float_of_int ops) inputs in
   let solve =
     {
       Machine.name = "solve";
-      act = (fun idx -> Bn_util.Dist.return (if truth.(idx) then 1 else 0));
+      act = (fun idx -> Bn_util.Dist.return (if truth idx then 1 else 0));
       complexity = (fun idx -> costs.(idx));
       randomized = false;
     }
@@ -132,7 +159,7 @@ let game rng spec =
         match acts.(0) with
         | 2 -> spec.reward_safe
         | a ->
-          let correct = (a = 1) = truth.(idx) in
+          let correct = (a = 1) = truth idx in
           if correct then spec.reward_correct else -.spec.penalty_wrong
       in
       base -. (spec.cost_per_op *. complexities.(0)))

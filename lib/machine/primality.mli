@@ -11,8 +11,8 @@
     complexity of a run is its number of modular multiplications. *)
 
 val is_prime : int -> bool
-(** Ground truth (Miller–Rabin with a deterministic base set, exact for all
-    63-bit inputs). *)
+(** Ground truth: Miller–Rabin with a deterministic base set, exact for
+    every OCaml [int] (all n ≤ max_int = 2⁶² − 1; false for n < 2). *)
 
 val counted_is_prime : int -> bool * int
 (** Result and the number of modular multiplications performed. *)

@@ -50,6 +50,7 @@ let stats_of_load ~users ~sharers ~served =
   }
 
 let simulate rng params =
+  Bn_obs.Obs.span "gnutella.simulate" @@ fun () ->
   let { users; cost; kick_scale; zipf_exponent; queries } = params in
   if users < 10 then invalid_arg "Gnutella.simulate: need at least 10 users";
   let kicks =
@@ -58,23 +59,28 @@ let simulate rng params =
   (* Dominant-strategy sharing decision: share iff the kick beats the cost. *)
   let shares = Array.map (fun k -> k > cost) kicks in
   let library i = if shares.(i) then Float.max 0.0 (kicks.(i) -. cost) else 0.0 in
-  let libraries = Array.init users library in
-  let total_library = Array.fold_left ( +. ) 0.0 libraries in
+  (* cum.(i) = library 0 +. … +. library i, as a left fold: monotone, and
+     cum.(users - 1) is the total library. *)
+  let cum = Array.make users 0.0 in
+  let acc = ref 0.0 in
+  for i = 0 to users - 1 do
+    acc := !acc +. library i;
+    cum.(i) <- !acc
+  done;
+  let total_library = cum.(users - 1) in
   let served = Array.make users 0 in
   if total_library > 0.0 then
     for _ = 1 to queries do
       (* Route the query to a host with probability proportional to its
-         shared library. *)
+         shared library: the first host i with x < cum.(i), clamped to the
+         last host. *)
       let x = Bn_util.Prng.float rng *. total_library in
-      let rec pick i acc =
-        if i >= users - 1 then i
-        else begin
-          let acc = acc +. libraries.(i) in
-          if x < acc then i else pick (i + 1) acc
-        end
-      in
-      let host = pick 0 0.0 in
-      served.(host) <- served.(host) + 1
+      let lo = ref 0 and hi = ref (users - 1) in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if x < cum.(mid) then hi := mid else lo := mid + 1
+      done;
+      served.(!lo) <- served.(!lo) + 1
     done;
   let sharers = Array.fold_left (fun acc s -> if s then acc + 1 else acc) 0 shares in
   stats_of_load ~users ~sharers ~served

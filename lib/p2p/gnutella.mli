@@ -46,11 +46,12 @@ val simulate : Bn_util.Prng.t -> params -> stats
     Zipf-sized library and serve queries with probability proportional to
     library size.
 
-    The boxed loop routes each query with an O(users) linear scan —
-    fine up to users ≈ 10³. For large populations use
-    {!Gnutella_soa.simulate}: identical stats at [shards = 1]
-    (QCheck-pinned), O(log users) routing, and sharded deterministic
-    parallelism. *)
+    Each query routes in O(log users) by binary search over the
+    serially built library prefix sums, picking the same host as a
+    linear scan of the running sum (pinned against a linear-scan oracle
+    in test/test_scrip_p2p.ml). {!Gnutella_soa.simulate} returns
+    identical stats at [shards = 1] and adds sharded deterministic
+    parallelism for million-user populations. *)
 
 val sharing_game :
   n:int -> cost:float -> kicks:float array -> download_value:float ->

@@ -34,8 +34,8 @@ let simulate ?(jobs = 1) ?(shards = 1) rng params =
   let shard_ids = Array.init shards Fun.id in
   (* lib.(i) = shared library size; cum.(i) = left-fold prefix
      lib.(lo) + … + lib.(i) within agent i's shard — at shards = 1 this
-     is exactly the boxed loop's running accumulator, so the binary
-     search below picks the same host as its linear scan. *)
+     is exactly the boxed loop's prefix-sum array, so the binary
+     search below picks the same host as its search. *)
   let lib = Soa.F64.create users in
   let cum = Soa.F64.create users in
   let sharer_tally = Array.make shards 0 in

@@ -4,16 +4,16 @@
     beats the cost, queries routed with probability proportional to
     shared library size — rebuilt for n → ∞ populations: kicks and
     library prefix sums live in flat {!Bn_agents.Soa.F64} columns, a
-    query routes in O(log users) (binary search over per-shard bases,
-    then within the owning shard) instead of the boxed loop's O(users)
-    scan, and serve counts cross shards through the
-    {!Bn_agents.Soa.Exchange}, flushed once per query batch.
+    query routes in O(log users) (scan over the per-shard bases, then
+    binary search within the owning shard), and serve counts cross
+    shards through the {!Bn_agents.Soa.Exchange}, flushed once per
+    query batch.
 
     At [shards = 1] the engine consumes the caller's generator in
     exactly the boxed loop's draw order, and the serially-built prefix
-    sums make the binary search return the same host as the linear scan
-    on every query — so the returned {!Gnutella.stats} record is
-    {e identical} (QCheck-pinned in test/test_scrip_p2p.ml). With
+    sums make the binary search return the same host as
+    {!Gnutella.simulate} on every query — so the returned
+    {!Gnutella.stats} record is {e identical} (QCheck-pinned in test/test_scrip_p2p.ml). With
     [shards > 1] each shard draws kicks and queries from its own
     {!Bn_util.Prng.split} stream: a different (equally valid) sample of
     the same population model, byte-identical at any [?jobs]. *)

@@ -71,9 +71,13 @@ let trial_division n =
     go 2
   end
 
+(* Two generators: small n exercise the direct-product mulmod (m < 2^31);
+   odd n in [2^31, 2^40] the 14-bit-digit path, where trial division still
+   stops within 2^20 steps. *)
 let miller_rabin_matches_trial_division =
-  QCheck.Test.make ~count:300 ~name:"primality: Miller-Rabin = trial division"
-    QCheck.(int_range 2 200000)
+  QCheck.Test.make ~count:600 ~name:"primality: Miller-Rabin = trial division"
+    QCheck.(
+      oneof [ int_range 2 200000; map (fun n -> n lor 1) (int_range (1 lsl 31) (1 lsl 40)) ])
     (fun n -> P.is_prime n = trial_division n)
 
 let test_known_primes () =
@@ -83,6 +87,37 @@ let test_known_primes () =
   List.iter
     (fun c -> Alcotest.(check bool) (string_of_int c) false (P.is_prime c))
     [ 1; 4; 100; 104730; 2147483645 ]
+
+let test_mulmod_regimes () =
+  (* Moduli on both sides of the 2^31 and 2^48 switches between the
+     mulmod regimes, and up to max_int, where the doubling fallback must
+     not overflow its sums. *)
+  List.iter
+    (fun p -> Alcotest.(check bool) (string_of_int p) true (P.is_prime p))
+    [
+      2147483659 (* smallest prime above 2^31 *);
+      (1 lsl 48) - 59 (* largest prime below 2^48 *);
+      (1 lsl 48) + 21 (* smallest prime above 2^48 *);
+      (1 lsl 61) - 1 (* Mersenne prime M61 *);
+      (1 lsl 62) - 57 (* largest prime below 2^62 *);
+    ];
+  List.iter
+    (fun c -> Alcotest.(check bool) (string_of_int c) false (P.is_prime c))
+    [
+      3215031751 (* strong pseudoprime to bases 2, 3, 5, 7 *);
+      (1 lsl 48) - 1;
+      16777213 * 16777199 (* two primes below 2^24: just below 2^48 *);
+      (1 lsl 48) + 1;
+      16777259 * 16777289 (* two primes above 2^24: just above 2^48 *);
+      3825123056546413051 (* strong pseudoprime to bases 2 through 23 *);
+      max_int;
+    ]
+
+let test_primality_game_62_bits () =
+  (* The widest inputs the game accepts: sampling must find primes. *)
+  let us = P.utilities (B.Prng.create 81) (P.default_spec ~bits:62 ~cost_per_op:0.05) in
+  Alcotest.(check bool) "safe beats solve at 62 bits" true
+    (List.assoc "safe" us > List.assoc "solve" us)
 
 let test_carmichael_numbers () =
   (* Carmichael numbers fool Fermat but not Miller-Rabin. *)
@@ -169,6 +204,8 @@ let suite =
     Alcotest.test_case "machine game: to normal form" `Quick test_to_normal_form_consistency;
     QCheck_alcotest.to_alcotest miller_rabin_matches_trial_division;
     Alcotest.test_case "primality: known values" `Quick test_known_primes;
+    Alcotest.test_case "primality: mulmod regimes" `Quick test_mulmod_regimes;
+    Alcotest.test_case "primality: 62-bit game" `Quick test_primality_game_62_bits;
     Alcotest.test_case "primality: Carmichael" `Quick test_carmichael_numbers;
     Alcotest.test_case "primality: cost grows" `Quick test_counted_cost_grows;
     Alcotest.test_case "primality: crossover" `Slow test_primality_game_crossover;

@@ -198,17 +198,80 @@ let gnutella_fraction_bounds_property =
       && s.G.top1_response_share <= 1.0
       && s.G.top10_response_share >= s.G.top1_response_share -. 1e-9)
 
+(* {1 Gnutella: routing oracle} *)
+
+(* The reference engine: the model of [G.simulate] with each query routed
+   by an O(users) linear scan over the running library sum, clamped to
+   the last host. Also returns how many queries took the clamp branch, so
+   the tests can show they reach it. *)
+let linear_scan_simulate rng (p : G.params) =
+  let { G.users; cost; kick_scale; zipf_exponent; queries } = p in
+  let kicks =
+    Array.init users (fun _ -> G.zipf_sample rng ~scale:kick_scale ~exponent:zipf_exponent)
+  in
+  let libraries = Array.map (fun k -> if k > cost then Float.max 0.0 (k -. cost) else 0.0) kicks in
+  let total_library = Array.fold_left ( +. ) 0.0 libraries in
+  let served = Array.make users 0 and clamped = ref 0 in
+  if total_library > 0.0 then
+    for _ = 1 to queries do
+      let x = B.Prng.float rng *. total_library in
+      let rec pick i acc =
+        if i >= users - 1 then begin
+          incr clamped;
+          i
+        end
+        else begin
+          let acc = acc +. libraries.(i) in
+          if x < acc then i else pick (i + 1) acc
+        end
+      in
+      let host = pick 0 0.0 in
+      served.(host) <- served.(host) + 1
+    done;
+  let sharers = Array.fold_left (fun n k -> if k > cost then n + 1 else n) 0 kicks in
+  (G.stats_of_load ~users ~sharers ~served, !clamped)
+
+(* All three engines from one seed: the oracle's stats and clamp count,
+   and whether [G.simulate] and the SoA engine at shards = 1 both match. *)
+let three_engines seed p =
+  let oracle, clamped = linear_scan_simulate (B.Prng.create seed) p in
+  let agree =
+    G.simulate (B.Prng.create seed) p = oracle
+    && B.Gnutella_soa.simulate ~shards:1 (B.Prng.create seed) p = oracle
+  in
+  (agree, oracle, clamped)
+
 (* {1 Gnutella: SoA engine} *)
 
 let gnutella_soa_bitwise_property =
   (* At shards = 1 the SoA engine replays the legacy draw sequence
-     exactly: same stats record for every seed and size. *)
+     exactly, and the binary-search routing of both engines picks the
+     linear-scan oracle's host: same stats record for every seed and size. *)
   QCheck.Test.make ~count:30 ~name:"gnutella soa: shards=1 bitwise-equal to legacy simulate"
     QCheck.(pair (int_range 1 1000) (int_range 10 800))
     (fun (seed, users) ->
-      let p = G.default_params ~users in
-      G.simulate (B.Prng.create seed) p
-      = B.Gnutella_soa.simulate ~shards:1 (B.Prng.create seed) p)
+      let agree, _, _ = three_engines seed (G.default_params ~users) in
+      agree)
+
+let test_gnutella_routing_edges () =
+  let check label seed p =
+    let agree, s, clamped = three_engines seed p in
+    Alcotest.(check bool) (label ^ ": engines agree with the oracle") true agree;
+    (s, clamped)
+  in
+  (* Everyone shares, so the last host holds library mass and the queries
+     that land on it take the scan's clamp branch. *)
+  let _, clamped = check "all share" 3 { (G.default_params ~users:50) with G.cost = 0.0 } in
+  Alcotest.(check bool) "some queries clamp to the last host" true (clamped > 0);
+  (* A high cost leaves most hosts with no library: long runs of equal
+     consecutive prefix sums that the search must skip past. *)
+  let s, _ = check "mostly free riders" 4 { (G.default_params ~users:400) with G.cost = 3.0 } in
+  Alcotest.(check bool) "most hosts share nothing" true (s.G.free_rider_fraction > 0.8);
+  Alcotest.(check bool) "someone shares" true (s.G.sharers > 0);
+  (* Nobody shares: no query is routed. *)
+  let s, clamped = check "nobody shares" 5 { (G.default_params ~users:20) with G.cost = 1e9 } in
+  Alcotest.(check int) "no sharers" 0 s.G.sharers;
+  Alcotest.(check int) "no query routed" 0 clamped
 
 let gnutella_soa_jobs_invariant_property =
   QCheck.Test.make ~count:10 ~name:"gnutella soa: sharded run identical at jobs=1 and jobs=4"
@@ -248,6 +311,7 @@ let suite =
     Alcotest.test_case "gnutella: Nash" `Quick test_sharing_game_is_nash;
     QCheck_alcotest.to_alcotest gnutella_fraction_bounds_property;
     QCheck_alcotest.to_alcotest gnutella_soa_bitwise_property;
+    Alcotest.test_case "gnutella: routing edge cases" `Quick test_gnutella_routing_edges;
     QCheck_alcotest.to_alcotest gnutella_soa_jobs_invariant_property;
     Alcotest.test_case "gnutella soa: sharded shape" `Slow test_gnutella_soa_sharded_shape;
   ]

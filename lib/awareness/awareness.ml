@@ -88,40 +88,34 @@ let expected_payoffs t ~game profile =
   let g = find_game t game in
   Extensive.expected_payoffs g (induced_strategies t ~game profile)
 
-(* Replace the entry for [pair] in the profile. *)
-let override profile pair strategy = (pair, strategy) :: List.remove_assoc pair profile
-
-(* Pure local strategies available to a pair (player, game): one move per
-   information set the player owns in that game. *)
-let local_pure_strategies t ~player ~game =
-  let g = find_game t game in
-  Extensive.pure_strategies g ~player
-
-let is_generalized_nash ?(eps = 1e-9) t profile =
-  List.for_all
-    (fun (player, gname) ->
-      let base = (expected_payoffs t ~game:gname profile).(player) in
-      List.for_all
-        (fun pure ->
-          let deviated = override profile (player, gname) (Extensive.behavioral_of_pure pure) in
-          (expected_payoffs t ~game:gname deviated).(player) <= base +. eps)
-        (local_pure_strategies t ~player ~game:gname))
-    (required_pairs t)
-
-let pure_generalized_equilibria t =
-  let pairs = required_pairs t in
-  let rec assign = function
-    | [] -> [ [] ]
-    | (player, gname) :: rest ->
-      let tails = assign rest in
-      List.concat_map
-        (fun pure ->
-          List.map
-            (fun tail -> (((player, gname), Extensive.behavioral_of_pure pure)) :: tail)
-            tails)
-        (local_pure_strategies t ~player ~game:gname)
+(* One agent per required pair (player, game): its options are the pure
+   local strategies (one move per information set the player owns in that
+   game), its utility the player's payoff computed in that game. Deviating
+   replaces the pair's entry at the head of the profile, so the pure
+   profiles (built last agent first) list the pairs in required order. *)
+let kernel t =
+  let pairs = Array.of_list (required_pairs t) in
+  let pures =
+    Array.map
+      (fun (player, game) -> Array.of_list (Extensive.pure_strategies (find_game t game) ~player))
+      pairs
   in
-  List.filter (is_generalized_nash t) (assign pairs)
+  {
+    Bn_game.Kernel_game.agents = Array.length pairs;
+    options = (fun a -> Array.length pures.(a));
+    deviate =
+      (fun profile a o ->
+        (pairs.(a), Extensive.behavioral_of_pure pures.(a).(o))
+        :: List.remove_assoc pairs.(a) profile);
+    utility =
+      (fun profile a ->
+        let player, game = pairs.(a) in
+        (expected_payoffs t ~game profile).(player));
+  }
+
+let is_generalized_nash ?eps t profile = Bn_game.Kernel_game.is_nash ?eps (kernel t) profile
+
+let pure_generalized_equilibria t = Bn_game.Kernel_game.pure_equilibria (kernel t) []
 
 let canonical g =
   let name = "canonical" in

@@ -94,49 +94,45 @@ let outcome_dist t profile =
   Dist.bind t.prior (fun types ->
       Dist.map (fun acts -> (types, acts)) (action_dist t profile types))
 
-let positive_types t ~player =
-  List.sort_uniq compare (List.map (fun tp -> tp.(player)) (Dist.support t.prior))
+(* The (player, type) pairs of positive marginal probability, player-major. *)
+let agents t =
+  Array.of_list
+    (List.concat_map
+       (fun i ->
+         List.map (fun ty -> (i, ty))
+           (List.sort_uniq compare (List.map (fun tp -> tp.(i)) (Dist.support t.prior))))
+       (List.init t.n Fun.id))
 
-let is_bayes_nash ?(eps = 1e-9) t profile =
-  let ok = ref true in
-  for i = 0 to t.n - 1 do
-    List.iter
-      (fun ptype ->
-        let current = interim_utility t profile ~player:i ~ptype in
-        for a = 0 to t.actions.(i) - 1 do
-          let deviated = Array.copy profile in
-          let strat = Array.map Array.copy profile.(i) in
-          strat.(ptype) <- Bn_game.Mixed.pure ~num_actions:t.actions.(i) a;
-          deviated.(i) <- strat;
-          if interim_utility t deviated ~player:i ~ptype > current +. eps then ok := false
-        done)
-      (positive_types t ~player:i)
-  done;
-  !ok
+let kernel t =
+  let agents = agents t in
+  {
+    Bn_game.Kernel_game.agents = Array.length agents;
+    options = (fun a -> t.actions.(fst agents.(a)));
+    deviate =
+      (fun profile a act ->
+        let i, ptype = agents.(a) in
+        let pure = Bn_game.Mixed.pure ~num_actions:t.actions.(i) act in
+        Bn_game.Kernel_game.(set profile i (set profile.(i) ptype pure)));
+    utility =
+      (fun profile a ->
+        let player, ptype = agents.(a) in
+        interim_utility t profile ~player ~ptype);
+  }
+
+let is_bayes_nash ?eps t profile = Bn_game.Kernel_game.is_nash ?eps (kernel t) profile
 
 let pure_bayes_nash ?eps t =
-  let all = Array.init t.n (fun i -> pure_strategies t ~player:i) in
-  let rec combos i =
-    if i = t.n then [ [] ]
-    else
-      let rest = combos (i + 1) in
-      List.concat_map (fun s -> List.map (fun tail -> s :: tail) rest) all.(i)
-  in
+  let all = Array.init t.n (fun i -> Array.of_list (pure_strategies t ~player:i)) in
+  let k = kernel t in
   List.filter_map
-    (fun combo ->
-      let arr = Array.of_list combo in
+    (fun choice ->
+      let arr = Array.mapi (fun i s -> all.(i).(s)) choice in
       let behavioral = Array.mapi (fun i s -> pure_to_behavioral t ~player:i s) arr in
-      if is_bayes_nash ?eps t behavioral then Some arr else None)
-    (combos 0)
+      if Bn_game.Kernel_game.is_nash ?eps k behavioral then Some arr else None)
+    (Bn_util.Combin.profiles (Array.map Array.length all))
 
 let agent_form t =
-  let agents =
-    Array.of_list
-      (List.concat_map
-         (fun i -> List.map (fun ty -> (i, ty)) (positive_types t ~player:i))
-         (List.init t.n Fun.id))
-  in
-  
+  let agents = agents t in
   let acts = Array.map (fun (i, _) -> t.actions.(i)) agents in
   let agent_index = Hashtbl.create 16 in
   Array.iteri (fun idx key -> Hashtbl.replace agent_index key idx) agents;

@@ -34,6 +34,7 @@ module Simplex = Bn_lp.Simplex
 module Normal_form = Bn_game.Normal_form
 module Mixed = Bn_game.Mixed
 module Nash = Bn_game.Nash
+module Kernel_game = Bn_game.Kernel_game
 module Dominance = Bn_game.Dominance
 module Zero_sum = Bn_game.Zero_sum
 module Correlated = Bn_game.Correlated

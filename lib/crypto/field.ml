@@ -24,7 +24,6 @@ let rec pow x e =
 
 let inv x = if x = 0 then raise Division_by_zero else pow x (p - 2)
 
-let div a b = mul a (inv b)
 
 let random rng = Bn_util.Prng.int rng p
 

@@ -23,8 +23,6 @@ val inv : int -> int
 (** Multiplicative inverse via Fermat's little theorem.
     @raise Division_by_zero on 0. *)
 
-val div : int -> int -> int
-
 val random : Bn_util.Prng.t -> int
 (** Uniform field element. *)
 

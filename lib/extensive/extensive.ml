@@ -173,18 +173,18 @@ let backward_induction t =
   let value = solve t.root in
   (Array.map List.rev choices, value)
 
-let is_nash ?(eps = 1e-9) t strategies =
-  let base = expected_payoffs t strategies in
-  let ok = ref true in
-  for i = 0 to t.n - 1 do
-    List.iter
-      (fun pure ->
-        let deviated = Array.copy strategies in
-        deviated.(i) <- behavioral_of_pure pure;
-        if (expected_payoffs t deviated).(i) > base.(i) +. eps then ok := false)
-      (pure_strategies t ~player:i)
-  done;
-  !ok
+let kernel t =
+  let pures = Array.init t.n (fun i -> Array.of_list (pure_strategies t ~player:i)) in
+  {
+    Bn_game.Kernel_game.agents = t.n;
+    options = (fun i -> Array.length pures.(i));
+    deviate =
+      (fun strategies i o ->
+        Bn_game.Kernel_game.set strategies i (behavioral_of_pure pures.(i).(o)));
+    utility = (fun strategies i -> (expected_payoffs t strategies).(i));
+  }
+
+let is_nash ?eps t strategies = Bn_game.Kernel_game.is_nash ?eps (kernel t) strategies
 
 let to_dot ?(title = "game") t =
   let buf = Buffer.create 1024 in

@@ -61,10 +61,14 @@ val backward_induction : t -> pure array * float array
     the first listed move. Returns the profile and its expected payoffs.
     @raise Invalid_argument if some information set has several nodes. *)
 
+val kernel : t -> behavioral array Bn_game.Kernel_game.t
+(** The deviation view: one agent per player, whose options are its
+    {!pure_strategies} and whose utility is its {!expected_payoffs} entry. *)
+
 val is_nash : ?eps:float -> t -> behavioral array -> bool
-(** Nash check through the induced normal form (exact for pure profiles;
-    behavioral profiles are checked against all pure deviations, which is
-    sufficient by perfect recall). *)
+(** No player gains more than [eps] by a pure deviation (exact for pure
+    profiles; behavioral profiles are checked against all pure deviations,
+    which is sufficient by perfect recall). *)
 
 val to_dot : ?title:string -> t -> string
 (** Graphviz rendering of the game tree: decision nodes labelled

@@ -24,9 +24,6 @@ let names_of_mask m = List.filter_map (fun (bit, n) -> if m land bit <> 0 then S
 
 type table = { masks : int SMap.t; det_regions : string list }
 
-let effects_of t id =
-  match SMap.find_opt id t.masks with Some m -> names_of_mask m | None -> []
-
 let has_global_mut t id =
   match SMap.find_opt id t.masks with Some m -> m land e_mut <> 0 | None -> false
 
@@ -118,7 +115,7 @@ let is_det_creation body =
     | _ -> false)
   | _ -> false
 
-let bump_ops = [ "incr"; "add"; "add2"; "observe_sk"; "observe"; "set_gauge"; "max_gauge" ]
+let bump_ops = [ "incr"; "add"; "add2"; "observe_sk" ]
 
 (* {1 Inference} *)
 

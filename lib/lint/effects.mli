@@ -24,11 +24,6 @@ type table
 val infer : Callgraph.t -> table * Finding.t list
 (** Effect table plus E001/E002 findings, in deterministic order. *)
 
-val effects_of : table -> string -> string list
-(** Effect-kind names of a def id, in canonical order ([rand], [clock],
-    [gc], [io], [par], [global_mut], [bigarray_write]); [[]] when the
-    def is pure or unknown. *)
-
 val has_global_mut : table -> string -> bool
 (** Does the def's transitive signature include [global_mut]? Used by
     {!Races} to flag helpers that smuggle shared-state writes into a

@@ -43,58 +43,31 @@ let expected_utility t ~choice ~player =
         (Dist.product_list action_dists))
     t.prior
 
-let best_deviation t ~choice ~player =
-  let current = expected_utility t ~choice ~player in
-  let best = ref None in
-  Array.iteri
-    (fun m _ ->
-      if m <> choice.(player) then begin
-        let alt = Array.copy choice in
-        alt.(player) <- m;
-        let u = expected_utility t ~choice:alt ~player in
-        let better_than_best =
-          match !best with None -> u > current +. 1e-9 | Some (_, ub) -> u > ub
-        in
-        if better_than_best then best := Some (m, u)
-      end)
-    t.machines.(player);
-  !best
+(* The complexity charge is already inside [expected_utility]: the bridge
+   supplies it as the agents' utility, and the deviation search is the
+   classical one. *)
+let kernel t =
+  {
+    Bn_game.Kernel_game.agents = n_players t;
+    options = (fun i -> Array.length t.machines.(i));
+    deviate = Bn_game.Kernel_game.set;
+    utility = (fun choice player -> expected_utility t ~choice ~player);
+  }
 
-let is_nash ?(eps = 1e-9) t ~choice =
-  let n = n_players t in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    let current = expected_utility t ~choice ~player:i in
-    match best_deviation t ~choice ~player:i with
-    | Some (_, u) when u > current +. eps -> ok := false
-    | Some _ | None -> ()
-  done;
-  !ok
-
-let all_choices t =
-  Bn_util.Combin.profiles (Array.map Array.length t.machines)
-
-let nash_equilibria t =
-  List.filter (fun choice -> is_nash t ~choice) (all_choices t)
+let best_deviation t ~choice ~player = Bn_game.Kernel_game.best_deviation (kernel t) choice player
+let is_nash ?eps t ~choice = Bn_game.Kernel_game.is_nash ?eps (kernel t) choice
+let base_choice t = Array.make (n_players t) 0
+let nash_equilibria t = Bn_game.Kernel_game.pure_equilibria (kernel t) (base_choice t)
 
 let nonexistence_certificate t =
+  let k = kernel t in
   let entries =
     List.map
       (fun choice ->
-        let n = n_players t in
-        let rec find i =
-          if i >= n then None
-          else
-            let current = expected_utility t ~choice ~player:i in
-            match best_deviation t ~choice ~player:i with
-            | Some (m, u) when u > current +. 1e-9 -> Some (choice, i, m)
-            | Some _ | None -> find (i + 1)
-        in
-        find 0)
-      (all_choices t)
+        Option.map (fun (i, m) -> (choice, i, m)) (Bn_game.Kernel_game.first_deviation k choice))
+      (Bn_game.Kernel_game.pure_profiles k (base_choice t))
   in
-  if List.exists (( = ) None) entries then None
-  else Some (List.map Option.get entries)
+  if List.exists Option.is_none entries then None else Some (List.map Option.get entries)
 
 let to_normal_form t =
   let actions = Array.map Array.length t.machines in

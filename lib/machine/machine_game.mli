@@ -48,6 +48,8 @@ val best_deviation : t -> choice:int array -> player:int -> (int * float) option
     strictly improves on the current choice (by more than 1e-9). *)
 
 val is_nash : ?eps:float -> t -> choice:int array -> bool
+(** No player gains more than [eps] (default [1e-9]) by switching to
+    another machine of its space. *)
 
 val nash_equilibria : t -> int array list
 (** All pure machine-profile equilibria, by exhaustive search. *)

@@ -13,16 +13,16 @@ type deviation = {
 
 let honest_deviation = { report = Fun.id; act = (fun _ rec_ -> rec_) }
 
-let utilities_under t deviators =
+(* Ex-ante utilities when player [i] applies [devs.(i)]. *)
+let utilities t devs =
   let n = Bayesian.n_players t.base in
-  let dev i = match List.assoc_opt i deviators with Some d -> d | None -> honest_deviation in
   let total = Array.make n 0.0 in
   List.iter
     (fun (types, p_ty) ->
-      let reported = Array.init n (fun i -> (dev i).report types.(i)) in
+      let reported = Array.init n (fun i -> devs.(i).report types.(i)) in
       List.iter
         (fun (recs, p_rec) ->
-          let acts = Array.init n (fun i -> (dev i).act types.(i) recs.(i)) in
+          let acts = Array.init n (fun i -> devs.(i).act types.(i) recs.(i)) in
           let u = Bayesian.utility t.base ~types ~acts in
           for i = 0 to n - 1 do
             total.(i) <- total.(i) +. (p_ty *. p_rec *. u.(i))
@@ -31,11 +31,15 @@ let utilities_under t deviators =
     (Dist.to_list (Bayesian.prior t.base));
   total
 
-let honest_utilities t = utilities_under t []
+let honest t = Array.make (Bayesian.n_players t.base) honest_deviation
 
-let honest_outcome t =
-  Dist.bind (Bayesian.prior t.base) (fun types ->
-      Dist.map (fun recs -> (types, recs)) (t.mediate types))
+let utilities_under t deviators =
+  utilities t
+    (Array.mapi
+       (fun i d -> Option.value (List.assoc_opt i deviators) ~default:d)
+       (honest t))
+
+let honest_utilities t = utilities t (honest t)
 
 let outcome_for_types t types = t.mediate types
 
@@ -59,64 +63,37 @@ let all_deviations t ~player =
         acts)
     reports
 
-let is_truthful_equilibrium ?(eps = 1e-9) t =
+(* One agent per player, whose options are its {!all_deviations} and whose
+   utility is its ex-ante payoff; the profile is one deviation per player. *)
+let kernel t =
   let n = Bayesian.n_players t.base in
-  let base_u = honest_utilities t in
-  let ok = ref true in
-  for i = 0 to n - 1 do
-    List.iter
-      (fun d ->
-        let u = utilities_under t [ (i, d) ] in
-        if u.(i) > base_u.(i) +. eps then ok := false)
-      (all_deviations t ~player:i)
-  done;
-  !ok
+  let devs = Array.init n (fun i -> Array.of_list (all_deviations t ~player:i)) in
+  {
+    Bn_game.Kernel_game.agents = n;
+    options = (fun i -> Array.length devs.(i));
+    deviate = (fun profile i o -> Bn_game.Kernel_game.set profile i devs.(i).(o));
+    utility = (fun profile i -> (utilities t profile).(i));
+  }
 
-(* Joint deviations of a coalition: cartesian product of per-member
-   deviation lists. *)
-let rec joint = function
-  | [] -> [ [] ]
-  | (i, ds) :: rest ->
-    let tails = joint rest in
-    List.concat_map (fun d -> List.map (fun tail -> (i, d) :: tail) tails) ds
+let is_truthful_equilibrium ?eps t = Bn_game.Kernel_game.is_nash ?eps (kernel t) (honest t)
 
 let check_resilience ?(eps = 1e-9) t ~k =
-  let n = Bayesian.n_players t.base in
   let base_u = honest_utilities t in
-  let witness = ref None in
-  List.iter
-    (fun coalition ->
-      if !witness = None then
-        let options = List.map (fun i -> (i, all_deviations t ~player:i)) coalition in
-        List.iter
-          (fun assignment ->
-            if !witness = None then begin
-              let u = utilities_under t assignment in
-              if List.exists (fun i -> u.(i) > base_u.(i) +. eps) coalition then
-                witness := Some (coalition, u)
-            end)
-          (joint options))
-    (Bn_util.Combin.subsets_up_to n k);
-  !witness
+  Bn_game.Kernel_game.find_coalition (kernel t) (honest t) ~max_size:k (fun coalition _ devs ->
+      let u = utilities t devs in
+      if List.exists (fun i -> u.(i) > base_u.(i) +. eps) coalition then Some (coalition, u)
+      else None)
 
+(* The witness names the highest-indexed harmed non-deviator. *)
 let check_immunity ?(eps = 1e-9) t ~t_bound =
   let n = Bayesian.n_players t.base in
   let base_u = honest_utilities t in
-  let witness = ref None in
-  List.iter
-    (fun deviators ->
-      if !witness = None then
-        let options = List.map (fun i -> (i, all_deviations t ~player:i)) deviators in
-        List.iter
-          (fun assignment ->
-            if !witness = None then begin
-              let u = utilities_under t assignment in
-              List.iter
-                (fun i ->
-                  if (not (List.mem i deviators)) && u.(i) < base_u.(i) -. eps then
-                    witness := Some (deviators, i, u.(i)))
-                (List.init n Fun.id)
-            end)
-          (joint options))
-    (Bn_util.Combin.subsets_up_to n t_bound);
-  !witness
+  Bn_game.Kernel_game.find_coalition (kernel t) (honest t) ~max_size:t_bound
+    (fun deviators _ devs ->
+      let u = utilities t devs in
+      List.fold_left
+        (fun w i ->
+          if (not (List.mem i deviators)) && u.(i) < base_u.(i) -. eps then
+            Some (deviators, i, u.(i))
+          else w)
+        None (List.init n Fun.id))

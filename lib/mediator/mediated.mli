@@ -18,10 +18,6 @@ type t = {
           profiles. *)
 }
 
-val honest_outcome : t -> (int array * int array) Bn_util.Dist.t
-(** Distribution over (type profile, action profile) when every player
-    reports truthfully and obeys. *)
-
 val honest_utilities : t -> float array
 (** Ex-ante utilities of the honest profile. *)
 

@@ -1,5 +1,4 @@
 module E = Bn_extensive.Extensive
-module Combin = Bn_util.Combin
 
 type witness = {
   info : string;
@@ -79,91 +78,68 @@ let belief_nodes game ~perturbed ~info =
   walk (E.root game) 1.0;
   List.rev !acc
 
-(* Conditional expected payoffs at [info]: beliefs from the perturbed
-   profile, continuation under [strats]. [None] if the set is unreachable
-   even with trembles (off the tree entirely). *)
-let conditional_value game ~perturbed ~info strats =
+(* Conditional expected payoffs at [info] as a function of the continuation
+   profile: beliefs from the perturbed profile, continuation under the
+   argument. [None] if the set is unreachable even with trembles (off the
+   tree entirely). *)
+let conditional_value game ~perturbed ~info =
   let n = E.n_players game in
   let nodes = belief_nodes game ~perturbed ~info in
   let total = List.fold_left (fun a (_, p) -> a +. p) 0.0 nodes in
   if total <= 0.0 then None
   else
     Some
-      (List.fold_left
-         (fun acc (node, p) ->
-           let v = value ~n node strats in
-           Array.mapi (fun i a -> a +. (p /. total *. v.(i))) acc)
-         (Array.make n 0.0)
-         nodes)
+      (fun strats ->
+        List.fold_left
+          (fun acc (node, p) ->
+            let v = value ~n node strats in
+            Array.mapi (fun i a -> a +. (p /. total *. v.(i))) acc)
+          (Array.make n 0.0)
+          nodes)
 
 (* {1 The k-resilient sequential check} *)
 
-let overlay profile members deviations =
-  let strats = Array.copy profile in
-  List.iteri
-    (fun j p -> strats.(p) <- E.behavioral_of_pure (List.nth deviations j))
-    members;
-  strats
-
+(* Every information set, its owner, every coalition containing the owner,
+   every joint pure deviation of the coalition: the profile is a k-resilient
+   sequential equilibrium iff no deviation strictly improves every coalition
+   member conditional on reaching the set (beliefs held fixed from the
+   trembled profile). The coalitions and joint deviations are those of the
+   extensive game's deviation kernel. *)
 let check ?(trembles = 1e-3) ?(tol = 1e-9) game profile ~k =
   if k < 1 then invalid_arg "Sequential.check: need k >= 1";
   let n = E.n_players game in
   let perturbed = perturb game profile ~trembles in
-  let pures = Array.init n (fun p -> E.pure_strategies game ~player:p) in
-  (* Every information set, its owner, every coalition containing the owner,
-     every joint pure deviation of the coalition: the profile is a
-     k-resilient sequential equilibrium iff no deviation strictly improves
-     every coalition member conditional on reaching the set (beliefs held
-     fixed from the trembled profile). *)
-  let coalitions = Combin.subsets_up_to n k in
-  let found = ref None in
-  List.iter
-    (fun owner ->
-      List.iter
-        (fun (info, _moves) ->
-          if !found = None then
-            match conditional_value game ~perturbed ~info profile with
-            | None -> ()
-            | Some base ->
-              List.iter
-                (fun coalition ->
-                  if !found = None && List.mem owner coalition then
-                    let dims =
-                      Array.of_list (List.map (fun p -> List.length pures.(p)) coalition)
-                    in
-                    Combin.iter_profiles dims (fun choice ->
-                        if !found = None then begin
-                          let deviations =
-                            List.mapi
-                              (fun j p -> List.nth pures.(p) choice.(j))
-                              coalition
-                          in
-                          let strats = overlay profile coalition deviations in
-                          match conditional_value game ~perturbed ~info strats with
-                          | None -> ()
-                          | Some dev ->
-                            let gains =
-                              List.filter_map
-                                (fun p ->
-                                  if dev.(p) -. base.(p) > tol then Some (p, dev.(p) -. base.(p))
-                                  else None)
-                                coalition
-                            in
-                            if List.length gains = List.length coalition then
-                              found :=
-                                Some
-                                  {
-                                    info;
-                                    owner;
-                                    coalition;
-                                    deviation = Array.of_list deviations;
-                                    gains;
-                                  }
-                        end))
-                coalitions)
-        (E.info_sets game ~player:owner))
-    (List.init n Fun.id);
-  !found
+  let pures = Array.init n (fun p -> Array.of_list (E.pure_strategies game ~player:p)) in
+  let kernel = E.kernel game in
+  let at_info owner (info, _moves) =
+    match conditional_value game ~perturbed ~info with
+    | None -> None
+    | Some value ->
+      let base = value profile in
+      Bn_game.Kernel_game.find_coalition kernel profile ~max_size:k (fun coalition choice strats ->
+          if not (List.mem owner coalition) then None
+          else
+            let dev = value strats in
+            let gains =
+              List.filter_map
+                (fun p -> if dev.(p) -. base.(p) > tol then Some (p, dev.(p) -. base.(p)) else None)
+                coalition
+            in
+            if List.length gains <> List.length coalition then None
+            else
+              Some
+                {
+                  info;
+                  owner;
+                  coalition;
+                  deviation =
+                    Array.of_list (List.mapi (fun j p -> pures.(p).(choice.(j))) coalition);
+                  gains;
+                })
+  in
+  List.find_map
+    (fun owner -> List.find_map (at_info owner) (E.info_sets game ~player:owner))
+    (List.init n Fun.id)
 
 let is_sequentially_k_resilient ?trembles ?tol game profile ~k =
   check ?trembles ?tol game profile ~k = None

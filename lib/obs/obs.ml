@@ -46,28 +46,21 @@ let timing = Atomic.make false
 let gc_probes = Atomic.make false
 
 let set_tracing b = Atomic.set tracing b
-let tracing_enabled () = Atomic.get tracing
 let set_progress b = Atomic.set progress b
 let progress_enabled () = Atomic.get progress
 let set_timing b = Atomic.set timing b
-let timing_enabled () = Atomic.get timing
 let set_gc_probes b = Atomic.set gc_probes b
-let gc_probes_enabled () = Atomic.get gc_probes
 
-(* {1 Counter / gauge / histogram registry} *)
+(* {1 Counter registry} *)
 
 type kind = Det | Volatile
 
 type counter = { cname : string; ckind : kind; cid : int }
-type gauge = { gname : string; gcell : int Atomic.t }
-type hist = { hname : string; hkind : kind; buckets : int Atomic.t array }
 type sketch = { skname : string; skkind : kind; skid : int }
 
 let registry_mu = Mutex.create ()
 let counters_reg : counter list ref = ref []
 let next_cid = ref 0
-let gauges_reg : gauge list ref = ref []
-let hists_reg : hist list ref = ref []
 let sketches_reg : sketch list ref = ref []
 let next_skid = ref 0
 
@@ -146,51 +139,6 @@ let value c =
       let a = s.cells in
       acc + if c.cid < Array.length a then a.(c.cid) else 0)
     0 ss
-
-let gauge name =
-  with_registry (fun () ->
-      match List.find_opt (fun g -> g.gname = name) !gauges_reg with
-      | Some g -> g
-      | None ->
-        let g = { gname = name; gcell = Atomic.make 0 } in
-        gauges_reg := g :: !gauges_reg;
-        g)
-
-let set_gauge g v = Atomic.set g.gcell v
-
-let rec max_gauge g v =
-  let cur = Atomic.get g.gcell in
-  if v > cur && not (Atomic.compare_and_set g.gcell cur v) then max_gauge g v
-
-let gauge_value g = Atomic.get g.gcell
-
-(* Power-of-two buckets: bucket [i] counts observations [v] with
-   [2^(i-1) <= v < 2^i] (bucket 0 holds v <= 0 and v = 1 shares bucket 1). *)
-let hist_buckets = 63
-
-let hist ?(kind = Volatile) name =
-  with_registry (fun () ->
-      match List.find_opt (fun h -> h.hname = name) !hists_reg with
-      | Some h -> h
-      | None ->
-        let h =
-          { hname = name; hkind = kind; buckets = Array.init hist_buckets (fun _ -> Atomic.make 0) }
-        in
-        hists_reg := h :: !hists_reg;
-        h)
-
-let bucket_of v =
-  if v <= 0 then 0
-  else begin
-    let b = ref 0 and v = ref v in
-    while !v > 0 do
-      Stdlib.incr b;
-      v := !v lsr 1
-    done;
-    min !b (hist_buckets - 1)
-  end
-
-let observe h v = ignore (Atomic.fetch_and_add h.buckets.(bucket_of v) 1)
 
 (* {1 Quantile sketches}
 
@@ -515,9 +463,7 @@ let reset () =
         (fun s ->
           Array.fill s.cells 0 (Array.length s.cells) 0;
           Array.iter (fun row -> Array.fill row 0 (Array.length row) 0) s.sk_rows)
-        !shards;
-      List.iter (fun g -> Atomic.set g.gcell 0) !gauges_reg;
-      List.iter (fun h -> Array.iter (fun b -> Atomic.set b 0) h.buckets) !hists_reg);
+        !shards);
   Mutex.protect sinks_mu (fun () -> List.iter (fun s -> s.evs <- []) !sinks);
   Mutex.protect gc_sinks_mu (fun () ->
       List.iter
@@ -609,15 +555,14 @@ module Export = struct
       sks;
     Buffer.add_string buf "  }"
 
-  (* Flat metrics snapshot (schema beyond-nash-metrics/2; /1 lacked the
-     sketch and gc sections). The "counters" and "sketches" sections
-     contain only [Det] instruments, sorted by name: they are the
-     byte-comparable artifact of the determinism contract (obsdiff and CI
-     compare them between -j1 and -j2 runs and across reruns).
-     Everything else is informational. *)
+  (* Flat metrics snapshot (schema beyond-nash-metrics/3). The
+     "counters" and "sketches" sections contain only [Det] instruments,
+     sorted by name: they are the byte-comparable artifact of the
+     determinism contract (obsdiff and CI compare them between -j1 and
+     -j2 runs and across reruns). Everything else is informational. *)
   let metrics_json () =
     let buf = Buffer.create 1024 in
-    Buffer.add_string buf "{\n  \"schema\": \"beyond-nash-metrics/2\",\n";
+    Buffer.add_string buf "{\n  \"schema\": \"beyond-nash-metrics/3\",\n";
     kv_section buf "counters" (counters_snapshot ~kind:Det ());
     Buffer.add_string buf ",\n";
     sketch_section buf "sketches" (sketches_snapshot ~kind:Det ());
@@ -626,28 +571,6 @@ module Export = struct
     Buffer.add_string buf ",\n";
     sketch_section buf "sketches_volatile" (sketches_snapshot ~kind:Volatile ());
     Buffer.add_string buf ",\n";
-    kv_section buf "gauges"
-      (List.sort compare
-         (List.map (fun g -> (g.gname, Atomic.get g.gcell)) (with_registry (fun () -> !gauges_reg))));
-    Buffer.add_string buf ",\n";
-    let hists = with_registry (fun () -> !hists_reg) in
-    Buffer.add_string buf "  \"histograms\": {\n";
-    let hists = List.sort (fun a b -> compare a.hname b.hname) hists in
-    List.iteri
-      (fun i h ->
-        let cells = ref [] in
-        Array.iteri
-          (fun b c ->
-            let c = Atomic.get c in
-            if c > 0 then
-              cells := Printf.sprintf "[%d, %d]" (if b = 0 then 0 else 1 lsl (b - 1)) c :: !cells)
-          h.buckets;
-        Buffer.add_string buf
-          (Printf.sprintf "    \"%s\": [%s]%s\n" (json_escape h.hname)
-             (String.concat ", " (List.rev !cells))
-             (if i = List.length hists - 1 then "" else ",")))
-      hists;
-    Buffer.add_string buf "  },\n";
     let gc = gc_snapshot () in
     Buffer.add_string buf "  \"gc\": {\n";
     List.iteri
@@ -665,19 +588,6 @@ module Export = struct
 end
 
 (* {1 Human summary} *)
-
-(* Nearest-rank quantile over a sorted [(value, count)] list — shared by
-   the summary renderer for both power-of-2 histograms and sketches. *)
-let cells_quantile total cells q =
-  if total = 0 then 0
-  else begin
-    let rank = max 1 (min total (int_of_float (Float.ceil (q *. float_of_int total)))) in
-    let rec go seen = function
-      | [] -> 0
-      | (v, c) :: tl -> if seen + c >= rank then v else go (seen + c) tl
-    in
-    go 0 cells
-  end
 
 (* Aggregate the recorded spans by path (stack of open span names, per
    domain, capped at depth 3) and render an indented tree with call
@@ -744,42 +654,17 @@ let summary ?(max_rows = 48) () =
   p "top counters:\n";
   List.iteri (fun i (n, v) -> if i < 16 then p "  %-36s %12d\n" n v) counters;
   if counters = [] then p "  (all counters zero)\n";
-  (* Quantiles for every non-empty histogram and sketch (nearest-rank,
-     bucket representative values). *)
-  let qline name total cells =
-    p "  %-36s n=%-9d p50=%-9d p90=%-9d p99=%-9d p999=%d\n" name total
-      (cells_quantile total cells 0.50)
-      (cells_quantile total cells 0.90)
-      (cells_quantile total cells 0.99)
-      (cells_quantile total cells 0.999)
-  in
-  let hist_rows =
-    List.filter_map
-      (fun h ->
-        let cells = ref [] and total = ref 0 in
-        Array.iteri
-          (fun b c ->
-            let c = Atomic.get c in
-            if c > 0 then begin
-              total := !total + c;
-              cells := ((if b = 0 then 0 else 1 lsl (b - 1)), c) :: !cells
-            end)
-          h.buckets;
-        if !total = 0 then None else Some (h.hname, !total, List.rev !cells))
-      (List.sort (fun a b -> compare a.hname b.hname) (with_registry (fun () -> !hists_reg)))
-  in
-  let sk_rows =
-    List.filter_map
+  (* Quantiles for every non-empty sketch (nearest-rank, bucket
+     representative values). *)
+  let sks = List.filter (fun (_, s) -> s.Sketch.total > 0) (sketches_snapshot ()) in
+  if sks <> [] then begin
+    p "quantiles (sketches):\n";
+    List.iter
       (fun (n, s) ->
-        if s.Sketch.total = 0 then None
-        else
-          Some (n, s.Sketch.total, List.map (fun (b, c) -> (sk_bucket_rep b, c)) s.Sketch.cells))
-      (sketches_snapshot ())
-  in
-  if hist_rows <> [] || sk_rows <> [] then begin
-    p "quantiles (histograms and sketches):\n";
-    List.iter (fun (n, total, cells) -> qline n total cells) hist_rows;
-    List.iter (fun (n, total, cells) -> qline n total cells) sk_rows
+        p "  %-36s n=%-9d p50=%-9d p90=%-9d p99=%-9d p999=%d\n" n s.Sketch.total
+          (Sketch.quantile s 0.50) (Sketch.quantile s 0.90) (Sketch.quantile s 0.99)
+          (Sketch.quantile s 0.999))
+      sks
   end;
   Buffer.contents buf
 
@@ -878,134 +763,15 @@ module Profile = struct
     Buffer.contents buf
 end
 
-(* {1 Minimal JSON validator}
+(* {1 Minimal JSON parser}
 
-   Used by the test suite and CI to check exporter output without
-   depending on an external JSON library. Accepts RFC 8259 JSON. *)
+   Reads exporter output back (obsdiff) and validates it (tests, CI)
+   without an external JSON library. Accepts RFC 8259 JSON; object
+   members keep file order. *)
 
 module Json = struct
   exception Bad
 
-  let validate s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = Stdlib.incr pos in
-    let skip_ws () =
-      while !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false) do
-        advance ()
-      done
-    in
-    let expect c = match peek () with Some c' when c' = c -> advance () | _ -> raise Bad in
-    let literal l =
-      String.iter (fun c -> expect c) l
-    in
-    let string_body () =
-      expect '"';
-      let fin = ref false in
-      while not !fin do
-        match peek () with
-        | None -> raise Bad
-        | Some '"' -> advance (); fin := true
-        | Some '\\' -> (
-          advance ();
-          match peek () with
-          | Some ('"' | '\\' | '/' | 'b' | 'f' | 'n' | 'r' | 't') -> advance ()
-          | Some 'u' ->
-            advance ();
-            for _ = 1 to 4 do
-              match peek () with
-              | Some ('0' .. '9' | 'a' .. 'f' | 'A' .. 'F') -> advance ()
-              | _ -> raise Bad
-            done
-          | _ -> raise Bad)
-        | Some c when Char.code c < 0x20 -> raise Bad
-        | Some _ -> advance ()
-      done
-    in
-    let number () =
-      (match peek () with Some '-' -> advance () | _ -> ());
-      let digits () =
-        let seen = ref false in
-        while (match peek () with Some '0' .. '9' -> true | _ -> false) do
-          seen := true;
-          advance ()
-        done;
-        if not !seen then raise Bad
-      in
-      (* Integer part: a lone 0, or a nonzero digit then any run — JSON
-         forbids leading zeros. *)
-      (match peek () with
-      | Some '0' -> advance ()
-      | Some '1' .. '9' -> digits ()
-      | _ -> raise Bad);
-      (match peek () with
-      | Some '.' ->
-        advance ();
-        digits ()
-      | _ -> ());
-      match peek () with
-      | Some ('e' | 'E') ->
-        advance ();
-        (match peek () with Some ('+' | '-') -> advance () | _ -> ());
-        digits ()
-      | _ -> ()
-    in
-    let rec value () =
-      skip_ws ();
-      match peek () with
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then advance ()
-        else begin
-          let fin = ref false in
-          while not !fin do
-            skip_ws ();
-            string_body ();
-            skip_ws ();
-            expect ':';
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some '}' -> advance (); fin := true
-            | _ -> raise Bad
-          done
-        end
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then advance ()
-        else begin
-          let fin = ref false in
-          while not !fin do
-            value ();
-            skip_ws ();
-            match peek () with
-            | Some ',' -> advance ()
-            | Some ']' -> advance (); fin := true
-            | _ -> raise Bad
-          done
-        end
-      | Some '"' -> string_body ()
-      | Some 't' -> literal "true"
-      | Some 'f' -> literal "false"
-      | Some 'n' -> literal "null"
-      | Some ('-' | '0' .. '9') -> number ()
-      | _ -> raise Bad
-    in
-    match
-      value ();
-      skip_ws ();
-      if !pos <> n then raise Bad
-    with
-    | () -> true
-    | exception Bad -> false
-
-  (* A value-producing parser over the same grammar, for tools (obsdiff)
-     that must read the exporter output back. Object members keep file
-     order. *)
   type value =
     | Null
     | Bool of bool
@@ -1160,6 +926,8 @@ module Json = struct
     with
     | v -> Some v
     | exception Bad -> None
+
+  let validate s = parse s <> None
 
   let member k = function Obj kvs -> List.assoc_opt k kvs | _ -> None
 end

@@ -32,8 +32,6 @@ val now_us : unit -> float
 val set_tracing : bool -> unit
 (** Enable/disable span recording (counters are always on). *)
 
-val tracing_enabled : unit -> bool
-
 val set_progress : bool -> unit
 (** Enable the per-experiment stderr progress line in
     [Experiments.run_all] (read there, not here). *)
@@ -45,22 +43,16 @@ val set_timing : bool -> unit
     uninstrumented runs pay one atomic load per [timed] call site.
     [Det]-kind sketches are always on, like counters. *)
 
-val timing_enabled : unit -> bool
-
 val set_gc_probes : bool -> unit
 (** Enable [Gc.quick_stat] deltas at span boundaries (implies a useful
     result only when tracing is also on). Off by default. *)
 
-val gc_probes_enabled : unit -> bool
-
-(** {1 Counters, gauges, histograms} *)
+(** {1 Counters} *)
 
 type kind = Det  (** deterministic: asserted across [-j] and reruns *)
           | Volatile  (** schedule-dependent: export-only *)
 
 type counter
-type gauge
-type hist
 
 val counter : ?kind:kind -> string -> counter
 (** Find-or-create by name (idempotent; the first call fixes the kind).
@@ -75,16 +67,6 @@ val add2 : counter -> int -> counter -> int -> unit
 
 val value : counter -> int
 (** Sum of the per-domain shards; exact after the writers are joined. *)
-
-val gauge : string -> gauge
-val set_gauge : gauge -> int -> unit
-val max_gauge : gauge -> int -> unit
-val gauge_value : gauge -> int
-
-val hist : ?kind:kind -> string -> hist
-(** Power-of-two bucket histogram (bucket boundaries at 2^i). *)
-
-val observe : hist -> int -> unit
 
 val counters_snapshot : ?kind:kind -> unit -> (string * int) list
 (** All (or one kind's) counter values, sorted by name. *)
@@ -164,7 +146,7 @@ val events : unit -> event list
     chronological within each domain. *)
 
 val reset : unit -> unit
-(** Zero every counter/gauge/histogram/sketch, drop all recorded events
+(** Zero every counter and sketch, drop all recorded events
     and GC probe data. *)
 
 val gc_snapshot : unit -> (string * (int * int * int)) list
@@ -180,16 +162,14 @@ module Export : sig
       timestamps in microseconds relative to the earliest event. *)
 
   val metrics_json : unit -> string
-  (** Flat snapshot (schema [beyond-nash-metrics/2]): ["counters"] and
+  (** Flat snapshot (schema [beyond-nash-metrics/3]): ["counters"] and
       ["sketches"] (Det, sorted — the byte-comparable sections),
-      ["volatile"], ["sketches_volatile"], ["gauges"], ["histograms"],
-      ["gc"], ["spans"]. *)
+      ["volatile"], ["sketches_volatile"], ["gc"], ["spans"]. *)
 end
 
 val summary : ?max_rows:int -> unit -> string
 (** Human-readable table: aggregated span tree (calls, total wall ms),
-    the busiest counters, and quantiles for every non-empty histogram
-    and sketch. *)
+    the busiest counters, and quantiles for every non-empty sketch. *)
 
 (** {1 Span-tree profiler} *)
 
@@ -213,14 +193,9 @@ end
 val json_escape : string -> string
 (** Escape a string for embedding in a JSON string literal. *)
 
-(** {1 JSON validation} *)
+(** {1 JSON} *)
 
 module Json : sig
-  val validate : string -> bool
-  (** [true] iff the string is one well-formed RFC 8259 JSON value.
-      Used by the test suite and CI to validate exporter output without
-      an external JSON dependency. *)
-
   (** Parsed JSON; object members keep file order. *)
   type value =
     | Null
@@ -233,6 +208,10 @@ module Json : sig
   val parse : string -> value option
   (** Full RFC 8259 parse (escapes decoded, [\uXXXX] as UTF-8);
       [None] on malformed input. *)
+
+  val validate : string -> bool
+  (** [true] iff the string is one well-formed JSON value ([parse] succeeds).
+      Validates exporter output without an external JSON dependency. *)
 
   val member : string -> value -> value option
   (** First member of that name when the value is an object. *)

@@ -111,8 +111,6 @@ let create ?(shards = 64) ~seed ~params ~kind_of ~money_per_agent () =
     flushes = 0;
   }
 
-let steps_done (t : t) = t.steps
-
 let willing t v =
   if Soa.I8.uget t.kind v = k_standard then
     Soa.I32.uget t.scrip v < Soa.I32.uget t.thresh v

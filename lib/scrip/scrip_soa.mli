@@ -77,8 +77,6 @@ val step : ?pool:Bn_util.Pool.t -> t -> unit
     law), then the buffers are replayed sequentially. Deterministic for
     any pool size. *)
 
-val steps_done : t -> int
-
 val stats : t -> soa_stats
 (** Snapshot of tallies and the money histogram. Call between steps. *)
 

@@ -17,12 +17,6 @@ let transpose a =
 
 let identity n = Array.init n (fun i -> Array.init n (fun j -> if i = j then 1.0 else 0.0))
 
-let mat_mul a b =
-  let bt = transpose b in
-  Array.map (fun row -> Array.map (fun col -> dot row col) bt) a
-
-let approx_equal ?(eps = 1e-9) x y = Float.abs (x -. y) <= eps
-
 (* Gaussian elimination with partial pivoting on an augmented copy. *)
 let solve a b =
   let n = Array.length a in

@@ -20,8 +20,3 @@ val transpose : float array array -> float array array
 val identity : int -> float array array
 (** Identity matrix. *)
 
-val mat_mul : float array array -> float array array -> float array array
-(** Matrix product. *)
-
-val approx_equal : ?eps:float -> float -> float -> bool
-(** Absolute-difference comparison, default [eps = 1e-9]. *)

@@ -9,7 +9,6 @@ let c_chunks = Obs.counter ~kind:Obs.Volatile "pool.chunks"
 (* How many items a worker completed outside its own range: pure scheduling
    telemetry, entirely timing-dependent. *)
 let c_steals = Obs.counter ~kind:Obs.Volatile "pool.steals"
-let g_max_domains = Obs.gauge "pool.max_domains"
 let sk_chunk_ns = Obs.sketch ~kind:Obs.Volatile "pool.chunk_ns"
 
 type t = { budget : int }
@@ -34,7 +33,6 @@ let chunk ~n ~d j = (j * n / d, (j + 1) * n / d)
 let run_workers ~d body =
   Obs.incr c_calls;
   Obs.add c_chunks d;
-  Obs.max_gauge g_max_domains d;
   (* One span per chunk, recorded on the worker's own domain; its wall
      time is the chunk's busy time, also sketched (when timing is on) so
      the chunk-size imbalance shows up as p50-vs-p99 spread. *)

@@ -142,7 +142,11 @@ let test_canonical_theorem_entry_game () =
              ];
          })
   in
-  canonical_equivalence_on entry
+  canonical_equivalence_on entry;
+  (* Random perfect-information trees as further inputs. *)
+  List.iter
+    (fun seed -> canonical_equivalence_on (Test_extensive.random_pi_game seed))
+    (List.init 15 Fun.id)
 
 (* {1 Awareness of unawareness (virtual moves)} *)
 

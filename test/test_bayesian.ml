@@ -107,6 +107,31 @@ let interim_vs_exante_property =
       in
       Float.abs (ex_ante -. weighted) < 1e-9)
 
+(* Reduction law: a Bayesian game where every player has one type is its
+   base normal-form game, so the Bayes–Nash and Nash checks agree on every
+   pure profile and on the uniform profile. *)
+let one_type_is_normal_form_property =
+  QCheck.Test.make ~count:60 ~name:"bayesian: one-type game = its normal form"
+    QCheck.(pair (int_range 2 3) (array_of_size (Gen.return 81) (int_range (-2) 2)))
+    (fun (n, table) ->
+      let actions = Array.init n (fun i -> 2 + (table.(i) land 1)) in
+      let payoffs acts =
+        let idx = Array.fold_left (fun acc a -> (acc * 3) + a) 0 acts in
+        Array.init n (fun i -> float_of_int table.((idx + (i * 27)) mod 81))
+      in
+      let nf = B.Normal_form.create ~actions payoffs in
+      let bg =
+        B.Bayesian.create ~num_types:(Array.make n 1) ~actions
+          ~prior:(B.Dist.return (Array.make n 0))
+          (fun ~types:_ ~acts -> payoffs acts)
+      in
+      let agrees profile =
+        B.Bayesian.is_bayes_nash bg (Array.map (fun s -> [| s |]) profile)
+        = B.Nash.is_nash nf profile
+      in
+      agrees (B.Mixed.uniform_profile nf)
+      && List.for_all (fun p -> agrees (B.Mixed.pure_profile nf p)) (B.Normal_form.profiles nf))
+
 let suite =
   [
     Alcotest.test_case "create validation" `Quick test_create_validation;
@@ -121,4 +146,5 @@ let suite =
     Alcotest.test_case "BA game shape" `Quick test_ba_game_shape;
     Alcotest.test_case "BA majority" `Quick test_ba_majority;
     QCheck_alcotest.to_alcotest interim_vs_exante_property;
+    QCheck_alcotest.to_alcotest one_type_is_normal_form_property;
   ]

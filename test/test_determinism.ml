@@ -11,6 +11,38 @@ let render ~jobs id =
   | Some transcript -> transcript
   | None -> Alcotest.failf "unknown experiment %s" id
 
+(* Every experiment against the transcript MD5s recorded when the
+   benchmark was frozen (perfbench/recorded.ml). The fast paths of E6
+   (digit mulmod, single-test sampling) and E10 (binary-search routing),
+   and the shared deviation kernel behind E5, E8, E9 and E16's checkers,
+   must reproduce the original tables byte for byte. *)
+let recorded_md5 =
+  [
+    ("E1", "7944dac0f1b84293cec635df9548fdfc");
+    ("E2", "90959ed5dcccf200b19ef60e1f435c80");
+    ("E3", "68ef95c84703caed1e284d3d29f3b5ce");
+    ("E4", "63bf11fe28d2138f5976b079a85887eb");
+    ("E5", "351bdf0de10033bad471d22fc1244e3b");
+    ("E6", "c1df08a1e201cccc97d5cda9f8bdfb68");
+    ("E7", "bf90b418297a3552def423948ded36fb");
+    ("E8", "a65f021e264ac9e943f5f7084cff3a7f");
+    ("E9", "def433efa88cff113f9044f006a75fdd");
+    ("E10", "d3c082fd29a429c554ab7e35b0b12f76");
+    ("E11", "bf68bf07cb76d8391544ba828c3ae028");
+    ("E12", "ef0cf5b06e8ee6eba73ca6a6914a37fe");
+    ("E13", "5ce5d0a0d1938353fc4287358ae868e9");
+    ("E14", "3b06b65e62fda3088cba0833926462a2");
+    ("E15", "bad36254d26135e28b5cf1764947cc76");
+    ("E16", "566e14dae0745ac5fb246ee0b34e2b50");
+    ("E17", "2f7a970461497028c56a1da22aef0865");
+  ]
+
+let check_md5 id ~jobs transcript =
+  Alcotest.(check string)
+    (Printf.sprintf "%s transcript MD5 at jobs=%d" id jobs)
+    (List.assoc id recorded_md5)
+    (Digest.to_hex (Digest.string transcript))
+
 let check_jobs_invariant id () =
   let serial = render ~jobs:1 id in
   let parallel = render ~jobs:4 id in
@@ -18,24 +50,10 @@ let check_jobs_invariant id () =
     (id ^ " transcript is non-trivial")
     true
     (String.length serial > 100);
-  Alcotest.(check string) (id ^ " identical at jobs=1 and jobs=4") serial parallel
+  Alcotest.(check string) (id ^ " identical at jobs=1 and jobs=4") serial parallel;
+  check_md5 id ~jobs:1 serial
 
-(* E6 and E10 against the transcript MD5s recorded when the benchmark
-   was frozen (perfbench/recorded.ml): their fast paths (digit mulmod,
-   single-test sampling, binary-search routing) must reproduce the tables
-   of the original bit-serial and linear-scan code byte for byte. *)
-let recorded_md5 =
-  [ ("E6", "c1df08a1e201cccc97d5cda9f8bdfb68"); ("E10", "d3c082fd29a429c554ab7e35b0b12f76") ]
-
-let check_recorded_md5 id () =
-  let expected = List.assoc id recorded_md5 in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "%s transcript MD5 at jobs=%d" id jobs)
-        expected
-        (Digest.to_hex (Digest.string (render ~jobs id))))
-    [ 1; 2 ]
+let check_recorded_md5 id () = List.iter (fun jobs -> check_md5 id ~jobs (render ~jobs id)) [ 1; 4 ]
 
 let check_render_matches_run_all () =
   (* run_all is exactly the concatenation of the individual renders, so the
@@ -45,13 +63,18 @@ let check_render_matches_run_all () =
   Alcotest.(check bool) "render starts with the banner" true
     (String.length one > 8 && String.sub one 0 8 = "########")
 
+(* Experiments whose jobs=1 and jobs=4 renders are compared in full; the
+   rest are checked against their digest only. *)
+let jobs_goldens = [ "E1"; "E5"; "E13"; "E17" ]
+
 let suite =
-  [
-    Alcotest.test_case "E1 golden: jobs=1 = jobs=4" `Slow (check_jobs_invariant "E1");
-    Alcotest.test_case "E5 golden: jobs=1 = jobs=4" `Slow (check_jobs_invariant "E5");
-    Alcotest.test_case "E13 golden: jobs=1 = jobs=4" `Slow (check_jobs_invariant "E13");
-    Alcotest.test_case "E17 golden: jobs=1 = jobs=4" `Slow (check_jobs_invariant "E17");
-    Alcotest.test_case "E6 golden: recorded MD5" `Slow (check_recorded_md5 "E6");
-    Alcotest.test_case "E10 golden: recorded MD5" `Slow (check_recorded_md5 "E10");
-    Alcotest.test_case "render banner" `Quick check_render_matches_run_all;
-  ]
+  List.map
+    (fun id ->
+      Alcotest.test_case (id ^ " golden: jobs=1 = jobs=4") `Slow (check_jobs_invariant id))
+    jobs_goldens
+  @ List.filter_map
+      (fun (id, _) ->
+        if List.mem id jobs_goldens then None
+        else Some (Alcotest.test_case (id ^ " golden: recorded MD5") `Slow (check_recorded_md5 id)))
+      recorded_md5
+  @ [ Alcotest.test_case "render banner" `Quick check_render_matches_run_all ]

@@ -197,6 +197,41 @@ let backward_induction_is_nash_property =
       let profile, _ = E.backward_induction g in
       E.is_nash g (Array.map E.behavioral_of_pure profile))
 
+(* A random perfect-information game drawn from [seed]: 2–3 players, a
+   decision at the root, every decision node its own information set
+   (labelled by its path), binary moves, depth ≤ 3, and payoffs in
+   {-2..2} so that ties are common. *)
+let random_pi_game seed =
+  let rng = B.Prng.create seed in
+  let n = 2 + B.Prng.int rng 2 in
+  let rec node depth path =
+    if depth = 0 || (path <> "r" && B.Prng.int rng 3 = 0) then
+      E.Terminal (Array.init n (fun _ -> float_of_int (B.Prng.int rng 5 - 2)))
+    else
+      let player = B.Prng.int rng n in
+      let moves =
+        List.init 2 (fun j ->
+            (Printf.sprintf "m%d" j, node (depth - 1) (Printf.sprintf "%s.%d" path j)))
+      in
+      E.Decision { player; info = path; moves }
+  in
+  E.create ~n_players:n (node 3 "r")
+
+(* Reduction law: on every pure profile, the extensive-form Nash check
+   agrees with the Nash check of the induced normal form. *)
+let is_nash_matches_normal_form_property =
+  QCheck.Test.make ~count:40 ~name:"extensive: is_nash = normal-form Nash on random PI games"
+    QCheck.small_nat
+    (fun seed ->
+      let g = random_pi_game seed in
+      let nf, strategies = E.to_normal_form g in
+      let strategies = Array.map Array.of_list strategies in
+      let agree = ref true in
+      B.Normal_form.iter_profiles nf (fun p ->
+          let behavioral = Array.mapi (fun i a -> E.behavioral_of_pure strategies.(i).(a)) p in
+          if E.is_nash g behavioral <> B.Nash.is_pure_nash nf p then agree := false);
+      !agree)
+
 let suite =
   [
     Alcotest.test_case "validation: payoff arity" `Quick test_validation_payoff_arity;
@@ -215,6 +250,7 @@ let suite =
     Alcotest.test_case "to normal form" `Quick test_to_normal_form;
     Alcotest.test_case "is_nash consistency" `Quick test_is_nash_consistency;
     QCheck_alcotest.to_alcotest backward_induction_is_nash_property;
+    QCheck_alcotest.to_alcotest is_nash_matches_normal_form_property;
   ]
 
 let test_to_dot () =

@@ -62,6 +62,42 @@ let test_to_normal_form_consistency () =
         (MG.expected_utility g ~choice:p ~player:0)
         (B.Normal_form.payoff nf p 0))
 
+(* Player 0 gains 5e-10 by switching machines: no deviation at the
+   default eps, a strict one at eps = 0, where the normal form agrees. *)
+let test_is_nash_small_eps () =
+  let a = B.Machine.constant "a" 0 and b = B.Machine.constant "b" 1 in
+  let g =
+    MG.simple
+      ~machines:[| [| a; b |]; [| a |] |]
+      ~base:(fun acts -> [| (if acts.(0) = 1 then 5e-10 else 0.0); 0.0 |])
+      ~charge:[| 0.0; 0.0 |]
+  in
+  Alcotest.(check bool) "Nash at the default eps" true (MG.is_nash g ~choice:[| 0; 0 |]);
+  Alcotest.(check bool) "normal form: not Nash at eps 0" false
+    (B.Nash.is_pure_nash ~eps:0.0 (MG.to_normal_form g) [| 0; 0 |]);
+  Alcotest.(check bool) "not Nash at eps 0" false (MG.is_nash ~eps:0.0 g ~choice:[| 0; 0 |])
+
+(* Reduction law: with zero complexity charge, a game of constant machines
+   (one per action, with arbitrary complexities) has exactly the pure Nash
+   equilibria of its base game. *)
+let free_computation_is_classical_property =
+  QCheck.Test.make ~count:60 ~name:"machine game: free computation has the classical Nash set"
+    QCheck.(pair (int_range 2 3) (array_of_size (Gen.return 81) (int_range (-2) 2)))
+    (fun (n, table) ->
+      let actions = Array.init n (fun i -> 2 + (table.(i) land 1)) in
+      let base acts =
+        let idx = Array.fold_left (fun acc a -> (acc * 3) + a) 0 acts in
+        Array.init n (fun i -> float_of_int table.((idx + (i * 27)) mod 81))
+      in
+      let machines =
+        Array.init n (fun i ->
+            Array.init actions.(i) (fun a ->
+                let c = float_of_int (1 + table.((i * 9) + a)) in
+                B.Machine.constant (string_of_int a) ~complexity:(fun _ -> c) a))
+      in
+      let g = MG.simple ~machines ~base ~charge:(Array.make n 0.0) in
+      MG.nash_equilibria g = B.Nash.pure_equilibria (B.Normal_form.create ~actions base))
+
 (* {1 Primality} *)
 
 let trial_division n =
@@ -202,6 +238,8 @@ let suite =
     Alcotest.test_case "machine game: best deviation" `Quick test_best_deviation;
     Alcotest.test_case "machine game: equilibria" `Quick test_nash_equilibria_enumeration;
     Alcotest.test_case "machine game: to normal form" `Quick test_to_normal_form_consistency;
+    Alcotest.test_case "machine game: is_nash honours eps below 1e-9" `Quick test_is_nash_small_eps;
+    QCheck_alcotest.to_alcotest free_computation_is_classical_property;
     QCheck_alcotest.to_alcotest miller_rabin_matches_trial_division;
     Alcotest.test_case "primality: known values" `Quick test_known_primes;
     Alcotest.test_case "primality: mulmod regimes" `Quick test_mulmod_regimes;
